@@ -37,7 +37,7 @@ def main() -> None:
     print("3. Store the document — one nested INSERT (Section 4.2)")
     print("=" * 70)
     stored = tool.store(document, doc_name="appendix_a.xml")
-    statement = stored.load_result.statements[0]
+    statement = stored.load_result.sql[0]
     print(f"INSERT statements: {stored.load_result.insert_count}")
     print(statement[:400] + ("..." if len(statement) > 400 else ""))
 

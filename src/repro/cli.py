@@ -178,7 +178,7 @@ def cmd_load(args) -> int:
     print(f"-- document stored as DocID {stored.doc_id} with"
           f" {stored.load_result.insert_count} INSERT and"
           f" {stored.load_result.update_count} UPDATE statement(s)")
-    for statement in stored.load_result.statements:
+    for statement in stored.load_result.sql:
         print(statement + ";")
     _report_observability(tool, args)
     return 0

@@ -16,31 +16,47 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ordb.errors import DanglingReference
-from repro.relational.shredder import sql_quote
+from repro.ordb.sql import ast
+from repro.ordb.sql.render import render_sql
 from repro.xmlkit.dom import Document, Element
 from repro.xmlkit.serializer import serialize
 from .generator import TypeMember, type_members
 from .plan import ElementKind, ElementPlan, MappingPlan, Storage
 
 
+#: the shared NULL argument of every constructor call
+_NULL = ast.Literal(None)
+#: ``REF(x_)``, the select list of every REF subquery
+_REF_ITEMS = (ast.SelectItem(
+    ast.FunctionCall("REF", (ast.ColumnPath(("x_",)),))),)
+
+
 @dataclass
 class LoadResult:
-    """Everything the facade needs to know about one load."""
+    """Everything the facade needs to know about one load.
+
+    ``statements`` holds the load script as ASTs, ready for
+    :meth:`~repro.ordb.engine.Database.execute`; :attr:`sql` prints
+    it as SQL text on demand.
+    """
 
     doc_id: int
-    statements: list[str] = field(default_factory=list)
+    statements: list[ast.Insert | ast.Update] = field(default_factory=list)
     root_row_id: str = ""
     warnings: list[str] = field(default_factory=list)
 
     @property
+    def sql(self) -> list[str]:
+        """The load script as SQL text, one string per statement."""
+        return [render_sql(statement) for statement in self.statements]
+
+    @property
     def insert_count(self) -> int:
-        return sum(1 for s in self.statements
-                   if s.lstrip().upper().startswith("INSERT"))
+        return sum(1 for s in self.statements if isinstance(s, ast.Insert))
 
     @property
     def update_count(self) -> int:
-        return sum(1 for s in self.statements
-                   if s.lstrip().upper().startswith("UPDATE"))
+        return sum(1 for s in self.statements if isinstance(s, ast.Update))
 
 
 @dataclass
@@ -80,8 +96,17 @@ def element_path(element: Element) -> str:
     return "/" + "/".join(reversed(parts))
 
 
+def _ref_lookup(table: str, column: tuple[str, ...],
+               value: str) -> ast.ScalarSubquery:
+    """``(SELECT REF(x_) FROM table x_ WHERE x_.column = 'value')``."""
+    return ast.ScalarSubquery(ast.SelectStmt(
+        _REF_ITEMS, (ast.TableRef(table, "x_"),),
+        ast.BinaryOp("=", ast.ColumnPath(("x_",) + column),
+                     ast.Literal(value))))
+
+
 class DocumentLoader:
-    """Generates the SQL that stores one document."""
+    """Generates the statements that store one document."""
 
     def __init__(self, plan: MappingPlan, doc_id: int, tracer=None):
         self.plan = plan
@@ -169,7 +194,7 @@ class DocumentLoader:
         row_id = self._row_id_for(element)
         self._stored_rows[id(element)] = row_id
         self._row_elements[id(element)] = element
-        arguments: list[str] = []
+        arguments: list[ast.Expr] = []
         child_table_links = []
         for member in type_members(plan, self.plan):
             if member.kind == "parentref":
@@ -178,16 +203,16 @@ class DocumentLoader:
                     arguments.append(self._ref_subquery(
                         parent_plan, parent_id))
                 else:
-                    arguments.append("NULL")
+                    arguments.append(_NULL)
             else:
                 arguments.append(self._member_value(
                     member, plan, element, row_id))
         for link in plan.links:
             if link.storage is Storage.CHILD_TABLE:
                 child_table_links.append(link)
-        constructor = f"{plan.object_type}({', '.join(arguments)})"
+        constructor = ast.FunctionCall(plan.object_type, tuple(arguments))
         self.result.statements.append(
-            f"INSERT INTO {plan.table} VALUES({constructor})")
+            ast.Insert(plan.table, values=(constructor,)))
         for link in child_table_links:
             for child_element in element.find_all(link.child.name):
                 self._insert_table_row(link.child, child_element,
@@ -197,18 +222,17 @@ class DocumentLoader:
         return row_id
 
     @staticmethod
-    def _ref_subquery(target: ElementPlan, row_id: str | None) -> str:
+    def _ref_subquery(target: ElementPlan, row_id: str | None) -> ast.Expr:
         if row_id is None:
-            return "NULL"
-        return (f"(SELECT REF(x_) FROM {target.table} x_"
-                f" WHERE x_.{target.id_column} = {sql_quote(row_id)})")
+            return _NULL
+        return _ref_lookup(target.table, (target.id_column,), row_id)
 
     # -- member values --------------------------------------------------------------------
 
     def _member_value(self, member: TypeMember, plan: ElementPlan,
-                      element: Element, row_id: str) -> str:
+                      element: Element, row_id: str) -> ast.Expr:
         if member.kind == "id":
-            return sql_quote(row_id)
+            return ast.Literal(row_id)
         if member.kind == "text":
             return self._text_value(plan, element)
         if member.kind == "xmlattr":
@@ -218,25 +242,26 @@ class DocumentLoader:
         assert member.kind == "link"
         return self._link_value(member.link, element)
 
-    def _text_value(self, plan: ElementPlan, element: Element) -> str:
+    def _text_value(self, plan: ElementPlan,
+                    element: Element) -> ast.Literal:
         if plan.kind is ElementKind.ANY or (
                 plan.kind is ElementKind.MIXED
                 and self.plan.config.mixed_as_markup):
             inner = "".join(serialize(child)
                             for child in element.children)
-            return sql_quote(inner)
+            return ast.Literal(inner)
         if plan.kind is ElementKind.MIXED:
-            return sql_quote(element.text_content())
-        return sql_quote(element.text())
+            return ast.Literal(element.text_content())
+        return ast.Literal(element.text())
 
     def _attribute_value(self, member: TypeMember, plan: ElementPlan,
-                         element: Element, row_id: str) -> str:
+                         element: Element, row_id: str) -> ast.Expr:
         attribute = member.attribute
         value = element.get(attribute.xml_name)
         if value is None:
-            return "NULL"
+            return _NULL
         if attribute.ref_target is None:
-            return sql_quote(value)
+            return ast.Literal(value)
         target = self.plan.element(attribute.ref_target)
         if plan.is_table_stored:
             # fill by UPDATE once every row exists (forward IDREFs)
@@ -245,11 +270,12 @@ class DocumentLoader:
                 row_id=row_id, column=member.column,
                 idref_value=value, target=target,
                 element=element, attribute=attribute.xml_name))
-            return "NULL"
+            return _NULL
         # inline element: the target row already exists (pass A)
         return self._idref_subquery(target, value)
 
-    def _idref_subquery(self, target: ElementPlan, value: str) -> str:
+    def _idref_subquery(self, target: ElementPlan,
+                        value: str) -> ast.Expr:
         id_attribute = next(
             (attribute for attribute in
              (target.attr_list.attributes if target.attr_list
@@ -259,75 +285,61 @@ class DocumentLoader:
             self.result.warnings.append(
                 f"IDREF '{value}': target <{target.name}> has no ID"
                 f" attribute column")
-            return "NULL"
+            return _NULL
         if target.attr_list is not None:
-            column = (f"{target.attr_list.column}"
-                      f".{id_attribute.db_name}")
+            column = (target.attr_list.column, id_attribute.db_name)
         else:
-            column = id_attribute.db_name
-        return (f"(SELECT REF(x_) FROM {target.table} x_"
-                f" WHERE x_.{column} = {sql_quote(value)})")
+            column = (id_attribute.db_name,)
+        return _ref_lookup(target.table, column, value)
 
     def _attrlist_value(self, plan: ElementPlan, element: Element,
-                        row_id: str) -> str:
+                        row_id: str) -> ast.Expr:
         attr_list = plan.attr_list
         assert attr_list is not None
         if not any(element.has_attribute(a.xml_name)
                    for a in attr_list.attributes):
-            return "NULL"
-        arguments = []
+            return _NULL
+        arguments: list[ast.Expr] = []
         for attribute in attr_list.attributes:
             value = element.get(attribute.xml_name)
             if value is None:
-                arguments.append("NULL")
+                arguments.append(_NULL)
             elif attribute.ref_target is not None:
                 target = self.plan.element(attribute.ref_target)
                 arguments.append(self._idref_subquery(target, value))
             else:
-                arguments.append(sql_quote(value))
-        return f"{attr_list.type_name}({', '.join(arguments)})"
+                arguments.append(ast.Literal(value))
+        return ast.FunctionCall(attr_list.type_name, tuple(arguments))
 
     # -- link values -------------------------------------------------------------------------
 
-    def _link_value(self, link, element: Element) -> str:
+    def _link_value(self, link, element: Element) -> ast.Expr:
         children = element.find_all(link.child.name)
+        if not children:
+            return _NULL
         if link.storage is Storage.SCALAR_COLUMN:
-            if not children:
-                return "NULL"
-            return sql_quote(self._scalar_text(link.child, children[0]))
+            return ast.Literal(self._scalar_text(link.child, children[0]))
         if link.storage is Storage.SCALAR_COLLECTION:
-            if not children:
-                return "NULL"
-            items = ", ".join(
-                sql_quote(self._scalar_text(link.child, child))
-                for child in children)
-            return f"{link.collection_type}({items})"
+            return ast.FunctionCall(link.collection_type, tuple(
+                ast.Literal(self._scalar_text(link.child, child))
+                for child in children))
         if link.storage is Storage.OBJECT_COLUMN:
-            if not children:
-                return "NULL"
             return self._inline_constructor(link.child, children[0])
         if link.storage is Storage.OBJECT_COLLECTION:
-            if not children:
-                return "NULL"
-            items = ", ".join(
+            return ast.FunctionCall(link.collection_type, tuple(
                 self._inline_constructor(link.child, child)
-                for child in children)
-            return f"{link.collection_type}({items})"
+                for child in children))
         if link.storage is Storage.REF_COLUMN:
-            if not children:
-                return "NULL"
             child_id = self._insert_table_row(
                 link.child, children[0], None, None, None)
             return self._ref_subquery(link.child, child_id)
         assert link.storage is Storage.REF_COLLECTION
-        if not children:
-            return "NULL"
         subqueries = []
         for child in children:
             child_id = self._insert_table_row(link.child, child, None,
                                               None, None)
             subqueries.append(self._ref_subquery(link.child, child_id))
-        return f"{link.collection_type}({', '.join(subqueries)})"
+        return ast.FunctionCall(link.collection_type, tuple(subqueries))
 
     def _scalar_text(self, plan: ElementPlan, element: Element) -> str:
         if plan.kind is ElementKind.EMPTY:
@@ -341,16 +353,16 @@ class DocumentLoader:
         return element.text()
 
     def _inline_constructor(self, plan: ElementPlan,
-                            element: Element) -> str:
+                            element: Element) -> ast.FunctionCall:
         row_id = ""  # inline objects carry no synthetic id
         arguments = []
         for member in type_members(plan, self.plan):
             if member.kind == "parentref":
-                arguments.append("NULL")
+                arguments.append(_NULL)
             else:
                 arguments.append(self._member_value(member, plan,
                                                     element, row_id))
-        return f"{plan.object_type}({', '.join(arguments)})"
+        return ast.FunctionCall(plan.object_type, tuple(arguments))
 
     # -- pass C: IDREF updates ------------------------------------------------------------------
 
@@ -391,14 +403,15 @@ class DocumentLoader:
             self._check_idref_target(pending)
             subquery = self._idref_subquery(pending.target,
                                             pending.idref_value)
-            self.result.statements.append(
-                f"UPDATE {pending.table} t_ SET {pending.column} ="
-                f" {subquery}"
-                f" WHERE t_.{pending.id_column} ="
-                f" {sql_quote(pending.row_id)}")
+            self.result.statements.append(ast.Update(
+                pending.table, "t_",
+                ((ast.ColumnPath((pending.column,)), subquery),),
+                ast.BinaryOp("=", ast.ColumnPath(("t_", pending.id_column)),
+                             ast.Literal(pending.row_id))))
 
 
 def load_document(plan: MappingPlan, document: Document | Element,
                   doc_id: int) -> LoadResult:
-    """Generate the load script for *document* (convenience wrapper)."""
+    """Generate the load statements for *document* (convenience
+    wrapper)."""
     return DocumentLoader(plan, doc_id).load(document)

@@ -20,6 +20,7 @@ Extensions implemented as proposed by the paper:
 from __future__ import annotations
 
 from repro.ordb.engine import Database
+from repro.ordb.sql import ast
 from repro.relational.shredder import sql_quote
 from repro.xmlkit.dom import (
     Comment,
@@ -63,6 +64,16 @@ CREATE TABLE TabMiscNode(
   Content VARCHAR2(4000));
 """
 
+_NULL = ast.Literal(None)
+
+
+def _insert(table: str, *values: ast.Expr | str | int | None) -> ast.Insert:
+    """``INSERT INTO table VALUES(...)``; plain Python values become
+    literals (None is NULL)."""
+    return ast.Insert(table, values=tuple(
+        value if isinstance(value, ast.Expr) else ast.Literal(value)
+        for value in values))
+
 
 class MetadataRegistry:
     """Owns the meta-tables of one database instance."""
@@ -90,32 +101,27 @@ class MetadataRegistry:
         executor — a :class:`~repro.ordb.sessions.Session` or the
         database itself — so the row joins the caller's transaction.
         """
-        doc_data_items = ",\n    ".join(
-            self._doc_data_literal(entry)
-            for entry in self.doc_data_entries(plan))
-        doc_data = (f"TypeVA_DocData({doc_data_items})"
-                    if doc_data_items else "NULL")
-        standalone = "NULL"
+        standalone = None
         if document.standalone is not None:
-            standalone = "'Y'" if document.standalone else "'N'"
+            standalone = "Y" if document.standalone else "N"
         # Section 5: "the namespace definitions are stored in the
         # meta-table as well" — record the root's default namespace
         namespace = document.root_element.get("xmlns")
-        (on or self.db).execute(
-            f"INSERT INTO TabMetadata VALUES({doc_id},"
-            f" {sql_quote(doc_name)}, {sql_quote(url)},"
-            f" {sql_quote(plan.schema_id or '')},"
-            f" {'NULL' if namespace is None else sql_quote(namespace)},"
-            f" {sql_quote(document.xml_version or '1.0')},"
-            f" {sql_quote(document.encoding or 'UTF-8')},"
-            f" {standalone}, {doc_data}, DATE '{load_date}')")
+        (on or self.db).execute(_insert(
+            "TabMetadata", doc_id, doc_name, url, plan.schema_id or "",
+            namespace, document.xml_version or "1.0",
+            document.encoding or "UTF-8", standalone,
+            self._doc_data(plan), ast.DateLiteral(load_date)))
 
-    @staticmethod
-    def _doc_data_literal(entry: tuple[str, str, str, str]) -> str:
-        xml_type, xml_name, db_name, db_type = entry
-        return (f"Type_DocData({sql_quote(xml_type)},"
-                f" {sql_quote(xml_name)}, {sql_quote(db_name)},"
-                f" {sql_quote(db_type)}, NULL)")
+    def _doc_data(self, plan: MappingPlan) -> ast.Expr:
+        """The ``DocData`` collection: one ``Type_DocData`` per
+        mapping of *plan*."""
+        items = tuple(
+            ast.FunctionCall("Type_DocData", tuple(
+                ast.Literal(value) for value in entry) + (_NULL,))
+            for entry in self.doc_data_entries(plan))
+        return (ast.FunctionCall("TypeVA_DocData", items)
+                if items else _NULL)
 
     def doc_data_entries(self, plan: MappingPlan
                          ) -> list[tuple[str, str, str, str]]:
@@ -164,8 +170,7 @@ class MetadataRegistry:
                           on=None) -> None:
         for name, replacement in entities.items():
             (on or self.db).execute(
-                f"INSERT INTO TabEntity VALUES({sql_quote(schema_id)},"
-                f" {sql_quote(name)}, {sql_quote(replacement)})")
+                _insert("TabEntity", schema_id, name, replacement))
 
     def entities_for(self, schema_id: str) -> dict[str, str]:
         result = self.db.execute(
@@ -187,10 +192,8 @@ class MetadataRegistry:
                 kind, target, content = "pi", node.target, node.data
             else:
                 continue
-            (on or self.db).execute(
-                f"INSERT INTO TabMiscNode VALUES({doc_id},"
-                f" {sql_quote(position)}, {sql_quote(kind)},"
-                f" {sql_quote(target)}, {sql_quote(content)})")
+            (on or self.db).execute(_insert(
+                "TabMiscNode", doc_id, position, kind, target, content))
             count += 1
         return count
 

@@ -130,7 +130,9 @@ class XML2Oracle:
         self.metadata: MetadataRegistry | None = (
             MetadataRegistry(self.db) if metadata else None)
         self.schemas: list[RegisteredSchema] = []
-        self.documents: dict[int, StoredDocument] = {}
+        #: doc id -> the schema it was stored under: all that fetch
+        #: and delete need (the load statements are not kept)
+        self.documents: dict[int, RegisteredSchema] = {}
         self._schema_ids = SchemaIdAllocator()
         self._next_doc_id = 0
         # parallel ingest workers share the facade: doc-id allocation
@@ -305,7 +307,7 @@ class XML2Oracle:
                     self._next_doc_id = doc_id - 1
             raise
         with self._facade_lock:
-            self.documents[doc_id] = stored
+            self.documents[doc_id] = schema
         return stored
 
     def store_many(self, documents: Iterable[Document | Element | str],
@@ -477,9 +479,9 @@ class XML2Oracle:
 
     def fetch(self, doc_id: int, restore_misc: bool = True) -> Document:
         """Reconstruct a stored document as a DOM tree."""
-        stored = self._stored(doc_id)
+        schema = self._schema_of(doc_id)
         with self._pin(doc_id):
-            retriever = Retriever(self.db, stored.schema.plan)
+            retriever = Retriever(self.db, schema.plan)
             root = retriever.fetch(doc_id)
             document = Document()
             if self.metadata is not None:
@@ -498,20 +500,20 @@ class XML2Oracle:
                    resubstitute_entities: bool = True) -> str:
         """Reconstruct a stored document as XML text (Section 6.1:
         entity references are re-substituted from the meta-table)."""
-        stored = self._stored(doc_id)
+        schema = self._schema_of(doc_id)
         document = self.fetch(doc_id)
         entities: dict[str, str] = {}
         if resubstitute_entities and self.metadata is not None:
-            entities = self.metadata.entities_for(stored.schema.schema_id)
+            entities = self.metadata.entities_for(schema.schema_id)
         serializer = Serializer(indent=indent,
                                 entity_definitions=entities)
         return serializer.serialize(document)
 
-    def _stored(self, doc_id: int) -> StoredDocument:
-        stored = self.documents.get(doc_id)
-        if stored is None:
+    def _schema_of(self, doc_id: int) -> RegisteredSchema:
+        schema = self.documents.get(doc_id)
+        if schema is None:
             raise LookupError(f"no stored document with id {doc_id}")
-        return stored
+        return schema
 
     # -- deleting documents --------------------------------------------------------------
 
@@ -531,8 +533,7 @@ class XML2Oracle:
         autocommit deletes would let a crash mid-compensation leave a
         half-deleted document in the replay path.
         """
-        stored = self._stored(doc_id)
-        plan = stored.schema.plan
+        plan = self._schema_of(doc_id).plan
         deleted = 0
         with self._pin(doc_id), self._atomic():
             for element in plan.table_stored_elements():

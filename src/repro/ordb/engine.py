@@ -113,6 +113,7 @@ from .schema import Catalog, Column, CompatibilityMode, Table, View
 from .sql import ast
 from .sql.lexer import split_statements
 from .sql.parser import parse_statement
+from .sql.render import render_sql
 from .storage import Row, next_oid
 from .transactions import UndoJournal
 from .wal import (
@@ -825,9 +826,7 @@ class Database:
                           session: Session | None = None) -> Result:
         """The instrumented execute path (observability enabled)."""
         obs = self.obs
-        sql = statement if isinstance(statement, str) else None
-        label = sql.strip() if sql is not None \
-            else type(statement).__name__
+        label = _statement_label(statement)
         start = obs.clock()
         try:
             with obs.tracer.span("execute", sql=label[:120]) as span:
@@ -2643,6 +2642,19 @@ _DESTRUCTIVE_DDL = (ast.DropTable, ast.DropType, ast.DropView,
 
 
 # -- module helpers --------------------------------------------------------------------
+
+
+def _statement_label(statement: str | ast.Statement) -> str:
+    """How traces and the slow log name a statement: its SQL text, or
+    for an AST the first 120 characters of its printed SQL — or its
+    statement kind where :func:`render_sql` has no printer (DDL,
+    transaction control)."""
+    if isinstance(statement, str):
+        return statement.strip()
+    try:
+        return render_sql(statement)[:120]
+    except TypeError:
+        return type(statement).__name__
 
 
 def _collect_table_refs(node: object, names: set[str]) -> None:

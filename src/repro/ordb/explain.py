@@ -29,6 +29,7 @@ from . import identifiers
 from .datatypes import NestedTableType, ObjectType, RefType, VarrayType
 from .errors import NotSupported
 from .sql import ast
+from .sql.render import quote_string
 from .values import CollectionValue
 
 #: Fraction of rows assumed to survive one FILTER step.
@@ -598,10 +599,10 @@ def render_expr(expression: ast.Expr) -> str:
         if expression.value is None:
             return "NULL"
         if isinstance(expression.value, str):
-            return f"'{expression.value}'"
+            return quote_string(expression.value)
         return str(expression.value)
     if isinstance(expression, ast.DateLiteral):
-        return f"DATE '{expression.text}'"
+        return f"DATE {quote_string(expression.text)}"
     if isinstance(expression, ast.ColumnPath):
         return expression.source()
     if isinstance(expression, ast.Star):

@@ -280,8 +280,11 @@ class ShardedDatabase:
             group_commit=group_commit)
         self.router_stats: dict[str, int] = {}
         self._reset_router_stats()
-        #: the ordered statement log rebalance replays (see module doc)
-        self._journal: list[tuple] = []
+        #: the ordered statement log rebalance replays (see module
+        #: doc), as pickled batches of entries: document statements are
+        #: ASTs, and one bytes object per batch keeps their many small
+        #: nodes out of the heap the collector walks
+        self._journal: list[bytes] = []
         self._journal_lock = threading.Lock()
         self._journal_wal: WriteAheadLog | None = None
         self._suppress_journal = False
@@ -300,8 +303,7 @@ class ShardedDatabase:
             # WALs it mirrors, so it follows the same fsync policy
             self._journal_wal = WriteAheadLog(
                 self.path / self.JOURNAL, policy=fsync)
-            for payload in self._journal_wal.open():
-                self._journal.extend(pickle.loads(payload))
+            self._journal.extend(self._journal_wal.open())
         self.n_shards = n_shards
         self.shards: list[Database] = [
             self._open_engine(i, self._generation)
@@ -464,10 +466,11 @@ class ShardedDatabase:
     def _journal_commit(self, entries: list[tuple]) -> None:
         if not entries or self._suppress_journal:
             return
+        payload = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
         with self._journal_lock:
-            self._journal.extend(entries)
+            self._journal.append(payload)
             if self._journal_wal is not None:
-                self._journal_wal.append(pickle.dumps(entries))
+                self._journal_wal.append(payload)
 
     # -- sessions and execution --------------------------------------------------------
 
@@ -610,15 +613,18 @@ class ShardedDatabase:
                        if self.path is not None else {})))
                 for i in range(n_shards)]
             with self._journal_lock:
-                entries = list(self._journal)
+                payloads = list(self._journal)
             self.shards, self.n_shards = new_shards, n_shards
             self._topology_version += 1
             self._suppress_journal = True
+            replayed = 0
             try:
                 replay = self.session(name="rebalance-replay")
                 try:
-                    for entry in entries:
-                        self._apply_journal_entry(replay, entry)
+                    for payload in payloads:
+                        for entry in pickle.loads(payload):
+                            self._apply_journal_entry(replay, entry)
+                            replayed += 1
                 finally:
                     replay.close()
             except BaseException:
@@ -642,7 +648,7 @@ class ShardedDatabase:
                               ignore_errors=True)
             self.router_stats["rebalances"] += 1
             return {"n_shards": n_shards, "generation": generation,
-                    "entries_replayed": len(entries)}
+                    "entries_replayed": replayed}
 
     def _apply_journal_entry(self, session: "ShardedSession",
                              entry: tuple) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ordb.identifiers import MAX_IDENTIFIER_LENGTH, is_reserved
+from repro.ordb.sql.render import quote_string as sql_quote
 from repro.xmlkit.dom import Document, Element
 
 #: Upper bound for shredded text values (same default as Section 4.1).
@@ -31,11 +32,6 @@ class LoadReport:
     @property
     def insert_count(self) -> int:
         return len(self.statements)
-
-
-def sql_quote(text: str) -> str:
-    """Render a Python string as a SQL string literal."""
-    return "'" + text.replace("'", "''") + "'"
 
 
 def sanitize_name(name: str, prefix: str = "", used: set[str] | None = None

@@ -129,7 +129,7 @@ class TestWarningPathPreserved:
         assert any("no ID" in warning
                    for warning in result.warnings)
         # the column is left NULL rather than raising
-        update = next(s for s in result.statements if "UPDATE" in s)
+        update = next(s for s in result.sql if "UPDATE" in s)
         assert "= NULL" in update
 
 

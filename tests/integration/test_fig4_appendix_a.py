@@ -24,7 +24,7 @@ class TestAppendixA:
     def test_single_insert(self, stored_university):
         _tool, stored = stored_university
         assert stored.load_result.insert_count == 1
-        statement = stored.load_result.statements[0]
+        statement = stored.load_result.sql[0]
         # the nested constructor calls of the Section 4.2 INSERT
         assert statement.startswith("INSERT INTO TabUniversity")
         assert "TypeVA_Student(Type_Student(" in statement

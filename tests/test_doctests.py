@@ -15,6 +15,7 @@ import repro.ordb.checkpoint
 import repro.ordb.faults
 import repro.ordb.locks
 import repro.ordb.sessions
+import repro.ordb.sql.render
 import repro.ordb.wal
 import repro.server
 import repro.server.admission
@@ -22,7 +23,7 @@ import repro.server.wire
 import repro.xmlkit
 
 _MODULES = [repro, repro.xmlkit, repro.ordb, repro.ordb.faults,
-            repro.ordb.locks, repro.ordb.sessions,
+            repro.ordb.locks, repro.ordb.sessions, repro.ordb.sql.render,
             repro.ordb.wal, repro.ordb.checkpoint,
             repro.core.xml2oracle, repro.obs, repro.obs.metrics,
             repro.obs.tracing, repro.server, repro.server.wire,
