@@ -13,10 +13,11 @@ Two questions the WAL design answers quantitatively:
   per commit is the throughput ceiling; the group-commit sweep has
   concurrent committers append the same records one-by-one and then
   through a :class:`~repro.ordb.wal.GroupCommitter` (one fsync per
-  batch) — CI's bench smoke gates ≥3x on that WAL-level ratio.  An
-  end-to-end engine sweep (disjoint-table transactions, group
-  commit off vs on) rides along as context; it moves far less
-  because statement execution is GIL-bound Python.
+  batch) — CI's bench smoke gates ≥3x on that WAL-level ratio.  The
+  durable engine's own commits/s (disjoint-table transactions; every
+  durable engine commits through its group committer) rides along as
+  context; it is far lower because statement execution is GIL-bound
+  Python.
 
 Exports ``BENCH_durability.json`` with all sweeps plus the
 checkpoint effect (recovery from snapshot vs from a full log).
@@ -143,11 +144,10 @@ def _durable_append_run(grouped: bool) -> dict:
         wal = WriteAheadLog(Path(scratch) / "wal.log",
                             policy="always")
         wal.open()
-        # window=0: no collection delay — batches form purely from
-        # committers piling up while the leader is inside the fsync,
-        # so the measured gain is amortization, not added latency
-        committer = (GroupCommitter(wal, window=0.0)
-                     if grouped else None)
+        # batches form purely from committers piling up while the
+        # leader is inside the fsync, so the measured gain is
+        # amortization, not added latency
+        committer = GroupCommitter(wal) if grouped else None
         errors: list[BaseException] = []
 
         def worker(seq: int) -> None:
@@ -187,37 +187,33 @@ def _durable_append_run(grouped: bool) -> dict:
 
 
 def group_commit_engine_context() -> dict:
-    """End-to-end context: engine commits/s on disjoint tables with
-    group commit off vs on (GIL-bound, so the spread is small)."""
+    """End-to-end context: durable-engine commits/s at
+    ``fsync=always`` on disjoint tables (every durable engine commits
+    through its group committer)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        db = Database(path=Path(scratch) / "db", fsync="always")
+        for seq in range(GC_THREADS):
+            db.execute(f"CREATE TABLE gcb{seq}(k NUMBER)")
 
-    def run(group_commit: bool) -> float:
-        with tempfile.TemporaryDirectory() as scratch:
-            db = Database(path=Path(scratch) / "db", fsync="always",
-                          group_commit=group_commit)
-            for seq in range(GC_THREADS):
-                db.execute(f"CREATE TABLE gcb{seq}(k NUMBER)")
+        def worker(seq: int) -> None:
+            with db.session() as session:
+                for index in range(GC_RECORDS // 4):
+                    with session.transaction():
+                        session.execute(
+                            f"INSERT INTO gcb{seq}"
+                            f" VALUES({index})")
 
-            def worker(seq: int) -> None:
-                with db.session() as session:
-                    for index in range(GC_RECORDS // 4):
-                        with session.transaction():
-                            session.execute(
-                                f"INSERT INTO gcb{seq}"
-                                f" VALUES({index})")
-
-            threads = [threading.Thread(target=worker, args=(seq,))
-                       for seq in range(GC_THREADS)]
-            start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            elapsed = time.perf_counter() - start
-            db.close()
-        return round(GC_THREADS * (GC_RECORDS // 4) / elapsed, 1)
-
-    return {"commits_per_second_off": run(False),
-            "commits_per_second_on": run(True)}
+        threads = [threading.Thread(target=worker, args=(seq,))
+                   for seq in range(GC_THREADS)]
+        start = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        elapsed = time.perf_counter() - start
+        db.close()
+    commits = GC_THREADS * (GC_RECORDS // 4)
+    return {"commits_per_second": round(commits / elapsed, 1)}
 
 
 def test_commit_throughput_by_fsync_policy(benchmark):

@@ -166,9 +166,7 @@ class Database:
                  commit_latency: float = 0.0,
                  path: str | os.PathLike | None = None,
                  fsync: str = "commit",
-                 checkpoint_every: int | None = None,
-                 mvcc: bool = True,
-                 group_commit: bool | float = False):
+                 checkpoint_every: int | None = None):
         self.catalog = Catalog(mode)
         self.evaluator = Evaluator(self)
         self.stats: dict[str, int] = {}
@@ -202,22 +200,13 @@ class Database:
         self._statement_deadline: float | None = None
         #: SQL text -> parsed AST (ASTs are frozen, safe to re-execute)
         self._statement_cache: dict[str, ast.Statement] = {}
-        #: view key -> (data version, Result) — dropped when stale
-        self._view_cache: dict[str, tuple[int, Result]] = {}
-        #: (view key, snapshot ts) -> (query AST, Result) for MVCC
+        #: (view key, snapshot ts) -> (query AST, Result) for snapshot
         #: reads: a result at a fixed timestamp never goes stale, so
         #: entries are evicted only by DDL or by the size bound.  The
         #: stored query object pins identity against CREATE OR
         #: REPLACE reusing the key.
-        self._snap_view_cache: dict[tuple[str, int],
-                                    tuple[object, Result]] = {}
-        #: bumped by every DML/DDL statement and rollback; versions
-        #: key the view cache so invalidation is O(1)
-        self._data_version = 0
-        #: MVCC master switch; False restores the seed behaviour where
-        #: SELECTs take S locks and read current data (benchmarks
-        #: compare both, and EXPLAIN reports the active mode)
-        self.mvcc = mvcc
+        self._view_results: dict[tuple[str, int],
+                                 tuple[object, Result]] = {}
         #: monotonic commit timestamp; every committed transaction
         #: that wrote rows advances it by one and stamps its write set
         self._commit_ts = 0
@@ -261,11 +250,8 @@ class Database:
         self.checkpoint_every = checkpoint_every
         self.wal: WriteAheadLog | None = None
         #: commit coalescer batching concurrent committers into one
-        #: append+fsync; None unless ``group_commit`` was requested on
-        #: a durable engine.  ``group_commit=True`` uses the default
-        #: collection window; a float gives the window in seconds.
+        #: append+fsync (durable engines only)
         self.group_committer: GroupCommitter | None = None
-        self._group_commit_requested = group_commit
         #: summary of the last durable open (replayed counts, seconds)
         self.recovery_info: dict | None = None
         self._commit_seq = 0
@@ -283,12 +269,8 @@ class Database:
         if self.path is not None:
             self.path.mkdir(parents=True, exist_ok=True)
             self._recover()
-            if group_commit:
-                window = (group_commit
-                          if isinstance(group_commit, float) else 0.001)
-                self.group_committer = GroupCommitter(
-                    self.wal, window=window,
-                    on_batch=self._group_batch_written)
+            self.group_committer = GroupCommitter(
+                self.wal, on_batch=self._group_batch_written)
             self.reset_stats()
 
     def _fault_fired(self, event) -> None:
@@ -348,7 +330,6 @@ class Database:
             "group_commit_records": 0,
             "checkpoints": 0,
             "snapshot_reads": 0,
-            "locking_reads": 0,
             "reader_lock_waits_avoided": 0,
             "gc_versions_pruned": 0,
             "gc_tombstones_pruned": 0,
@@ -469,7 +450,7 @@ class Database:
         """Stamp an explicit transaction's write set with one fresh
         commit timestamp (called by :meth:`Session.commit` after the
         WAL append succeeded)."""
-        if not self.mvcc or not txn.write_set:
+        if not txn.write_set:
             return
         with self._latch:
             self._stamp_commit(txn.write_set)
@@ -493,9 +474,6 @@ class Database:
         for _table, row in live:
             row.cts = ts
             row.pending = None
-        # visibility changed for snapshot readers: retire cached
-        # current-read view results keyed on the old data version
-        self._data_version += 1
         self._gc_after_commit(live)
 
     def _gc_after_commit(self, live: list) -> None:
@@ -611,8 +589,7 @@ class Database:
                              for table in self.catalog.tables.values())
             with self._txn_lock:
                 pinned = dict(self._pinned)
-            return {"enabled": self.mvcc,
-                    "commit_ts": self._commit_ts,
+            return {"commit_ts": self._commit_ts,
                     "version_records": self._version_records,
                     "tombstones": tombstones,
                     "pinned_snapshots": pinned}
@@ -699,55 +676,50 @@ class Database:
     def _wal_commit(self, statements: list) -> None:
         """Append one committed transaction's redo list to the WAL.
 
-        No-op for in-memory engines and during recovery replay.  The
-        sequence number only advances once the append succeeded, so a
-        failed (torn) append's sequence is reused by the next commit
-        (a failed *group-commit* batch leaves a sequence gap instead —
-        replay only requires sequences to be increasing).
-
-        With :attr:`group_committer` set, concurrent committers
-        coalesce into one shared append+fsync; this call still only
-        returns once *this* transaction's record is durable.
+        No-op for in-memory engines and during recovery replay.
+        Concurrent committers coalesce through
+        :attr:`group_committer` into one shared append+fsync (a lone
+        committer's batch of one is the plain append); this call still
+        only returns once *this* transaction's record is durable.
+        Sequence numbers are taken as the batch is encoded, so a
+        failed batch leaves a sequence gap — replay only requires
+        sequences to be increasing.
         """
         if (self.wal is None or self._wal_suppressed
                 or not statements):
             return
-        if self.group_committer is not None:
-            def encode() -> bytes:
-                # runs under the WAL lock, in batch order: sequence
-                # numbers stay monotonic across batch members
-                seq = self._commit_seq + 1
-                payload = encode_transaction(seq, statements)
-                self._commit_seq = seq
-                return payload
 
-            written, _size = self.group_committer.commit(encode)
+        def encode() -> bytes:
+            # runs under the WAL lock, in batch order: sequence
+            # numbers stay monotonic across batch members, and the
+            # checkpoint counter (reset under the same lock) never
+            # loses an increment to a concurrent committer
+            seq = self._commit_seq + 1
+            payload = encode_transaction(seq, statements)
+            self._commit_seq = seq
             self._commits_since_checkpoint += 1
-        else:
-            with self.wal.lock:
-                seq = self._commit_seq + 1
-                written = self.wal.append(encode_transaction(seq,
-                                                             statements))
-                self._commit_seq = seq
-                self._commits_since_checkpoint += 1
-        self.stats["wal_appends"] += 1
-        self.stats["wal_bytes"] += written
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("db.wal_appends", unit="records").inc()
-            metrics.counter("db.wal_bytes", unit="bytes").inc(written)
+            return payload
 
-    def _group_batch_written(self, size: int) -> None:
-        """Stats hook: one group-commit batch of *size* records went
-        durable with a single append+fsync."""
+        self.group_committer.commit(encode)
+
+    def _group_batch_written(self, sizes: list[int]) -> None:
+        """Stats hook, run under the WAL lock: one group-commit batch
+        of frames *sizes* (bytes) went durable with a single
+        append+fsync."""
+        written = sum(sizes)
+        self.stats["wal_appends"] += len(sizes)
+        self.stats["wal_bytes"] += written
         self.stats["group_commit_batches"] += 1
-        self.stats["group_commit_records"] += size
+        self.stats["group_commit_records"] += len(sizes)
         if self.obs.enabled:
             metrics = self.obs.metrics
+            metrics.counter("db.wal_appends",
+                            unit="records").inc(len(sizes))
+            metrics.counter("db.wal_bytes", unit="bytes").inc(written)
             metrics.counter("db.group_commit_batches",
                             unit="batches").inc()
             metrics.histogram("db.group_commit_batch_size",
-                              unit="records").observe(size)
+                              unit="records").observe(len(sizes))
 
     def checkpoint(self) -> dict:
         """Snapshot the database durably and truncate the WAL.
@@ -870,13 +842,12 @@ class Database:
         deadline = None
         if session.statement_timeout is not None:
             deadline = time.monotonic() + session.statement_timeout
-        snapshot_read = (self.mvcc
-                         and isinstance(statement, ast.SelectStmt))
-        # ANALYZE under MVCC is likewise lock-free: a read-only stats
-        # scan must never stall writers (the row walk runs under the
-        # engine latch; the stats swap is journaled like any DDL)
-        lockfree_read = snapshot_read or (
-            self.mvcc and isinstance(statement, ast.Analyze))
+        snapshot_read = isinstance(statement, ast.SelectStmt)
+        # ANALYZE is likewise lock-free: a read-only stats scan must
+        # never stall writers (the row walk runs under the engine
+        # latch; the stats swap is journaled like any DDL)
+        lockfree_read = snapshot_read or isinstance(statement,
+                                                    ast.Analyze)
         # DML keeps its write locks, but its *inner* reads (INSERT ...
         # SELECT, UPDATE/DELETE subqueries) run against the same
         # statement snapshot a top-level SELECT would use — otherwise
@@ -884,12 +855,10 @@ class Database:
         # Not during WAL replay: replayed statements of one record are
         # stamped together afterwards, so mid-record rows are still
         # pending and a snapshot would hide them from inner reads.
-        dml_read = (self.mvcc and not self._wal_suppressed
+        dml_read = (not self._wal_suppressed
                     and isinstance(statement, (ast.Insert, ast.Update,
                                                ast.Delete)))
         if not lockfree_read:
-            if isinstance(statement, ast.SelectStmt):
-                self.stats["locking_reads"] += 1
             # locks are acquired *before* the latch: a blocked session
             # must never stall the sessions currently executing
             self._acquire_statement_locks(session, statement, deadline)
@@ -900,10 +869,10 @@ class Database:
                 self._active_session = session
                 snap = None
                 if snapshot_read or dml_read:
-                    # MVCC: the SELECT reads a commit-timestamp
-                    # snapshot and holds zero table locks; pending
-                    # rows of concurrent writers are skipped in
-                    # favour of their chained committed images
+                    # the SELECT reads a commit-timestamp snapshot
+                    # and holds zero table locks; pending rows of
+                    # concurrent writers are skipped in favour of
+                    # their chained committed images
                     snap = self._statement_snapshot(session)
                     self._active_snapshot = snap
                 try:
@@ -942,8 +911,8 @@ class Database:
         if handler is None:  # pragma: no cover - parser prevents this
             raise NotSupported(
                 f"unsupported statement {type(statement).__name__}")
-        if self.mvcc and isinstance(statement, _DESTRUCTIVE_DDL) or (
-                self.mvcc and isinstance(statement, ast.CreateView)
+        if isinstance(statement, _DESTRUCTIVE_DDL) or (
+                isinstance(statement, ast.CreateView)
                 and statement.or_replace
                 and identifiers.normalize(statement.name)
                 in self.catalog.views):
@@ -962,26 +931,22 @@ class Database:
                     f" {len(conflicting)} other session(s) hold pinned"
                     f" snapshots (READ ONLY or SERIALIZABLE); retry"
                     f" after they commit")
-        if not isinstance(statement, (ast.ExplainStmt, ast.Analyze)):
-            # DDL (and zero-row DML) invalidates cached view results;
-            # row-level changes bump the version again as they happen.
-            # ANALYZE is exempt: it only refreshes optimizer stats and
-            # changes no rows, so cached results stay valid.
-            self._data_version += 1
-            if not isinstance(statement,
-                              (ast.Insert, ast.Update, ast.Delete)):
-                # DDL is not versioned (the catalog has no chains), so
-                # snapshot-keyed view results cannot express it: drop
-                # them all rather than serve a pre-DDL shape
-                self._snap_view_cache.clear()
+        if not isinstance(statement, (ast.ExplainStmt, ast.Analyze,
+                                      ast.Insert, ast.Update,
+                                      ast.Delete)):
+            # DDL is not versioned (the catalog has no chains), so
+            # snapshot-keyed view results cannot express it: drop them
+            # all rather than serve a pre-DDL shape.  ANALYZE only
+            # refreshes optimizer stats, so cached results stay valid.
+            self._view_results.clear()
         journal = UndoJournal()
         outer = self._active_journal
         self._active_journal = journal
         txn = session.txn
         write_set: list | None = None
-        if self.mvcc and not isinstance(statement, ast.ExplainStmt):
-            # DML under MVCC: rows touched by this statement carry
-            # this token (``Row.pending``) until their commit stamp
+        if not isinstance(statement, ast.ExplainStmt):
+            # rows touched by this statement carry this token
+            # (``Row.pending``) until their commit stamp
             write_set = []
             self._active_write_set = write_set
             self._active_token = (txn.token if txn is not None
@@ -994,9 +959,6 @@ class Database:
         except BaseException:
             self._active_journal = outer
             journal.undo_to(0)
-            # the undo restored pre-statement data under the bumped
-            # version; bump again so mid-statement cache entries die
-            self._data_version += 1
             raise
         finally:
             self._active_write_set = None
@@ -1027,7 +989,6 @@ class Database:
                     self._wal_commit([source])
                 except BaseException:
                     journal.undo_to(0)
-                    self._data_version += 1
                     raise
             if write_set:
                 if self._wal_suppressed:
@@ -1086,19 +1047,15 @@ class Database:
             self, statement: ast.Statement) -> list[tuple[str, str]]:
         """The (resource, mode) set a statement must hold.
 
-        SELECT → S on every referenced table (views expanded to their
-        underlying tables); DML → X on the target plus S on tables its
-        subqueries read; DDL → X on the catalog resource and on the
-        named object.  EXPLAIN locks nothing (it never touches rows).
+        DML → X on the target plus S on tables its subqueries read
+        (views expanded to their underlying tables); DDL → X on the
+        catalog resource and on the named object.  EXPLAIN locks
+        nothing (it never touches rows).  SELECT and ANALYZE never get
+        here: they read snapshots and take no table locks.
         """
         reads: set[str] = set()
         writes: set[str] = set()
-        if isinstance(statement, ast.SelectStmt):
-            _collect_table_refs(statement, reads)
-        elif isinstance(statement, ast.Insert):
-            writes.add(identifiers.normalize(statement.table))
-            _collect_table_refs(statement, reads)
-        elif isinstance(statement, (ast.Update, ast.Delete)):
+        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
             writes.add(identifiers.normalize(statement.table))
             _collect_table_refs(statement, reads)
         elif isinstance(statement, ast.ExplainStmt):
@@ -1106,15 +1063,10 @@ class Database:
         elif isinstance(statement, ast.CreateIndex):
             # index DDL also rewrites the table's probe paths: exclude
             # concurrent writers (readers are excluded by the pinned-
-            # snapshot conflict check / S locks in locking mode)
+            # snapshot conflict check)
             writes.add(CATALOG_RESOURCE)
             writes.add(identifiers.normalize(statement.name))
             writes.add(identifiers.normalize(statement.table))
-        elif isinstance(statement, ast.Analyze):
-            # a read-only stats scan: SHARED is enough — writers must
-            # not stall behind ANALYZE (it changes no rows, and the
-            # stats swap itself is serialized by the engine latch)
-            reads.add(identifiers.normalize(statement.table))
         else:  # DDL
             writes.add(CATALOG_RESOURCE)
             name = getattr(statement, "name", None)
@@ -1268,8 +1220,8 @@ class Database:
         counters in :attr:`stats` stay untouched.  SELECT plans state
         the read mode *session* (default: the session executing the
         EXPLAIN, else the implicit one) would run under — ``SNAPSHOT
-        READ @latest``, ``SNAPSHOT READ @<ts>`` for a pinned
-        transaction snapshot, or ``LOCKING READ`` with MVCC off.
+        READ @latest`` or ``SNAPSHOT READ @<ts>`` for a pinned
+        transaction snapshot.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
@@ -1282,8 +1234,6 @@ class Database:
 
     def _read_mode(self, session: Session) -> str:
         """How a SELECT by *session* reads rows right now."""
-        if not self.mvcc:
-            return "LOCKING READ"
         txn = session.txn
         if txn is not None and txn.snapshot_ts is not None:
             return f"SNAPSHOT READ @{txn.snapshot_ts}"
@@ -1787,7 +1737,6 @@ class Database:
             self._active_write_set.append((table, row))
         table.data.insert(row)
         table.indexes.add_row(row)
-        self._data_version += 1
 
         def undo(row=row):
             table.data.remove_exact(row)
@@ -1942,7 +1891,6 @@ class Database:
             row.values.clear()
             row.values.update(new_values)
             table.indexes.update_row(row, old_values, new_values)
-            self._data_version += 1
             count += 1
         return Result(rowcount=count,
                       message=f"{count} row(s) updated.")
@@ -2018,7 +1966,6 @@ class Database:
             if row.oid is not None:
                 table.data.oid_index.pop(row.oid, None)
             table.indexes.remove_row(row)
-            self._data_version += 1
             self._record(undo)
         return Result(rowcount=len(doomed),
                       message=f"{len(doomed)} row(s) deleted.")
@@ -2365,40 +2312,30 @@ class Database:
     def _view_result(self, view: View) -> Result:
         """Evaluate *view*'s query, reusing a cached result.
 
-        Current (locking) reads key the cache by data version: any
-        DML/DDL/rollback bumps it and the entry dies.  Snapshot reads
-        key by ``(view, snapshot ts)`` instead — the rows visible at
-        a fixed timestamp never change (GC cannot prune below an
-        active snapshot), so the entry stays valid across later
-        commits and still serves pinned old snapshots correctly.  A
-        transaction reading its own uncommitted writes bypasses the
-        shared cache entirely (``snap.cacheable`` False)."""
+        The cache is keyed by ``(view, snapshot ts)``: the rows
+        visible at a fixed timestamp never change (GC cannot prune
+        below an active snapshot), so the entry stays valid across
+        later commits and still serves pinned old snapshots correctly.
+        A transaction reading its own uncommitted writes bypasses the
+        shared cache entirely (``snap.cacheable`` False), and so does
+        a read without a snapshot (recovery replay, DDL)."""
         snap = self._active_snapshot
-        if snap is None:
-            cached = self._view_cache.get(view.key)
-            if cached is not None and cached[0] == self._data_version:
-                self._count_view_cache(hit=True)
-                return cached[1]
-            self._count_view_cache(hit=False)
-            result = self.execute_select(view.query, None)
-            self._view_cache[view.key] = (self._data_version, result)
-            return result
-        if snap.cacheable:
-            cached = self._snap_view_cache.get((view.key, snap.ts))
+        cacheable = snap is not None and snap.cacheable
+        if cacheable:
+            cached = self._view_results.get((view.key, snap.ts))
             if cached is not None and cached[0] is view.query:
-                self._count_view_cache(hit=True)
+                self._count_view_result(hit=True)
                 return cached[1]
-        self._count_view_cache(hit=False)
+        self._count_view_result(hit=False)
         result = self.execute_select(view.query, None)
-        if snap.cacheable:
-            if len(self._snap_view_cache) >= self.STATEMENT_CACHE_SIZE:
-                self._snap_view_cache.pop(
-                    next(iter(self._snap_view_cache)))
-            self._snap_view_cache[(view.key, snap.ts)] = (view.query,
-                                                          result)
+        if cacheable:
+            if len(self._view_results) >= self.STATEMENT_CACHE_SIZE:
+                self._view_results.pop(next(iter(self._view_results)))
+            self._view_results[(view.key, snap.ts)] = (view.query,
+                                                       result)
         return result
 
-    def _count_view_cache(self, hit: bool) -> None:
+    def _count_view_result(self, hit: bool) -> None:
         if hit:
             self.stats["view_cache_hits"] += 1
             if self.obs.enabled:

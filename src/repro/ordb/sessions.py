@@ -101,11 +101,10 @@ class Session:
         fault leaves the transaction open for the caller to roll
         back, modelling a crash just before the commit point.
 
-        With ``Database(group_commit=True)`` the WAL append above
-        coalesces with concurrent committers into one batched
-        append + fsync (leader/follower group commit); the durability
-        contract is unchanged — this call still returns only after
-        the batch holding this transaction's redo is on disk.
+        The WAL append above coalesces with concurrent committers
+        into one batched append + fsync (leader/follower group
+        commit); this call still returns only after the batch holding
+        this transaction's redo is on disk.
         """
         db = self.db
         committed = self.txn is not None
@@ -161,7 +160,6 @@ class Session:
                 self.txn = None
             else:
                 self.txn.rollback_to(to)
-            db._data_version += 1
         if self.txn is None:
             db._txn_finished(self)
             db.locks.release_all(self.sid)
@@ -203,7 +201,7 @@ class Session:
         if isolation is not None:
             txn.isolation = isolation
         pin = txn.read_only or txn.isolation == "SERIALIZABLE"
-        if pin and txn.snapshot_ts is None and db.mvcc:
+        if pin and txn.snapshot_ts is None:
             with db._latch:  # a concurrent commit must not tear this
                 txn.snapshot_ts = db._commit_ts
             db._pin_snapshot(self, txn.snapshot_ts)
@@ -278,7 +276,6 @@ class Session:
                 with self.db._latch:
                     txn.rollback_to(name)
                     txn.release(name)
-                    self.db._data_version += 1
             raise
         if self.txn is txn:
             txn.release(name)

@@ -96,14 +96,13 @@ class Row:
 class TableData:
     """Physical contents of one table.
 
-    ``rows`` holds only live rows (what locking readers and writers
-    see); ``tombstones`` holds deleted rows old snapshots may still
-    need; ``versioned`` tracks, by identity, every live row whose
-    version chain is non-empty — index probes must union it in, since
-    a hash index keyed on *current* values can miss a row whose
-    snapshot-visible version had a different key.  ``versioned`` is
-    rebuilt after unpickling (identity keys do not survive a process
-    boundary).
+    ``rows`` holds only live rows (what writers see); ``tombstones``
+    holds deleted rows old snapshots may still need; ``versioned``
+    tracks, by identity, every live row whose version chain is
+    non-empty — index probes must union it in, since a hash index
+    keyed on *current* values can miss a row whose snapshot-visible
+    version had a different key.  ``versioned`` is rebuilt after
+    unpickling (identity keys do not survive a process boundary).
     """
 
     rows: list[Row] = field(default_factory=list)

@@ -61,7 +61,6 @@ import os
 import pickle
 import struct
 import threading
-import time
 import zlib
 from pathlib import Path
 from typing import Callable
@@ -213,59 +212,26 @@ class WriteAheadLog:
 
     def append(self, payload: bytes) -> int:
         """Append one record, honouring the fsync policy; returns the
-        frame size in bytes.  The ``wal`` fault site fires before the
-        write (``op="append"``) and before each fsync
-        (``op="fsync"``); a fired fault with a ``wal_effect`` damages
-        the file the way its effect names before propagating."""
-        record = encode_record(payload)
-        with self.lock:
-            if self._file is None:
-                raise ValueError("write-ahead log is not open")
-            if self._repair_to is not None:
-                self._repair()
-            start = self._file.tell()
-            if self.faults is not None:
-                try:
-                    self.faults.hit("wal", op="append",
-                                    bytes=len(record))
-                except BaseException as error:
-                    self._apply_media_fault(error, record)
-                    self._repair_to = start
-                    raise
-            self._file.write(record)
-            if self.policy == "always":
-                self._file.flush()
-                if self.faults is not None:
-                    try:
-                        # the frame is fully written and flushed: an
-                        # fsync failure models the acknowledged-lost /
-                        # unacknowledged-durable commit ambiguity
-                        self.faults.hit("wal", op="fsync")
-                    except BaseException:
-                        self._repair_to = start
-                        raise
-                os.fsync(self._file.fileno())
-            elif self.policy == "commit":
-                self._file.flush()
-            self.appended += 1
-            self.bytes_written += len(record)
-        return len(record)
+        frame size in bytes (a batch of one, see :meth:`append_batch`)."""
+        return self.append_batch([payload])[0]
 
     def append_batch(self, payloads: list[bytes]) -> list[int]:
         """Append several records with a *single* flush + fsync.
 
-        The group-commit fast path: the frames go to the file back to
-        back, then one flush (and, under policy ``always``, one
-        ``os.fsync``) makes the whole batch durable together.  The
-        batch is all-or-nothing — a fault while writing any frame or
-        during the final fsync marks the tail for repair back to the
-        *batch* start, so recovery either replays every record of the
-        batch or none of them; no half-batch is ever acknowledged.
+        The frames go to the file back to back, then one flush (and,
+        under policy ``always``, one ``os.fsync``) makes the whole
+        batch durable together.  The batch is all-or-nothing — a fault
+        while writing any frame or during the final fsync marks the
+        tail for repair back to the *batch* start, so recovery either
+        replays every record of the batch or none of them; no
+        half-batch is ever acknowledged.
 
-        The ``wal`` fault site fires exactly as for single appends:
-        once per frame (``op="append"``) and once before the batch
-        fsync (``op="fsync"``), so kill-at-every-boundary torture
-        sweeps cover each frame of a batch individually.
+        The ``wal`` fault site fires once per frame (``op="append"``,
+        before the write) and once before the batch fsync
+        (``op="fsync"``), so kill-at-every-boundary torture sweeps
+        cover each frame of a batch individually.  A fired fault with
+        a ``wal_effect`` damages the file the way its effect names
+        before propagating.
         """
         with self.lock:
             if self._file is None:
@@ -289,6 +255,9 @@ class WriteAheadLog:
                 if self.policy == "always":
                     self._file.flush()
                     if self.faults is not None:
+                        # the frames are fully written and flushed: an
+                        # fsync failure models the acknowledged-lost /
+                        # unacknowledged-durable commit ambiguity
                         self.faults.hit("wal", op="fsync")
                     os.fsync(self._file.fileno())
                 elif self.policy == "commit":
@@ -362,14 +331,12 @@ class WriteAheadLog:
 class _GroupEntry:
     """One session's pending commit inside a batch."""
 
-    __slots__ = ("encode", "event", "error", "written", "batch_size")
+    __slots__ = ("encode", "event", "error")
 
     def __init__(self, encode: Callable[[], bytes]):
         self.encode = encode
         self.event = threading.Event()
         self.error: BaseException | None = None
-        self.written = 0
-        self.batch_size = 0
 
 
 class GroupCommitter:
@@ -379,16 +346,16 @@ class GroupCommitter:
     — the durable-throughput ceiling the durability benchmark
     measures.  Group commit amortizes it: committing sessions enqueue
     their redo payload; the first session to find no leader *becomes*
-    the leader, optionally waits a tiny collection window for
-    followers to pile in, then drains the queue and writes the whole
-    batch through :meth:`WriteAheadLog.append_batch` — one fsync for
-    every member.  Followers just block on an event until the leader
-    reports their fate.  Sessions that arrive while the leader is
-    inside the fsync form the next batch (natural piggybacking), so
+    the leader and drains the queue, writing the whole batch through
+    :meth:`WriteAheadLog.append_batch` — one fsync for every member.
+    There is no collection window: a lone committer's batch of one is
+    the plain append.  Followers just block on an event until the
+    leader reports their fate.  Sessions that arrive while the leader
+    is inside the fsync form the next batch (natural piggybacking), so
     under load the log syncs continuously while the engine latch
     stays free for the next statements to execute.
 
-    Failure keeps the single-append contract: a fault anywhere in the
+    Failure is all-or-nothing per batch: a fault anywhere in the
     batch marks the log for repair back to the batch start, and every
     member — leader and followers alike — sees the error and rolls
     back.  Nothing was acknowledged before the fsync, so no
@@ -400,29 +367,25 @@ class GroupCommitter:
     commit sequence numbers to batch members.
     """
 
-    def __init__(self, wal: WriteAheadLog, *, window: float = 0.001,
-                 on_batch: Callable[[int], None] | None = None):
+    def __init__(self, wal: WriteAheadLog, *,
+                 on_batch: Callable[[list[int]], None] | None = None):
         self.wal = wal
-        #: seconds a leader waits for followers before draining; only
-        #: paid when the leader would otherwise commit alone
-        self.window = window
-        #: observer called with each batch's size (stats/histograms)
+        #: observer called, under the WAL lock, with the frame sizes
+        #: of each durable batch (stats/histograms)
         self.on_batch = on_batch
         self._mutex = threading.Lock()
         self._queue: list[_GroupEntry] = []
         self._leader_active = False
         self.batches = 0
         self.records = 0
-        #: batch size -> number of batches that size
-        self.batch_sizes: dict[int, int] = {}
 
-    def commit(self, encode: Callable[[], bytes]) -> tuple[int, int]:
+    def commit(self, encode: Callable[[], bytes]) -> None:
         """Durably commit one payload as part of a batch.
 
         *encode* produces the record payload; it is called by the
-        batch leader under the WAL lock, in queue order.  Returns
-        ``(frame_bytes, batch_size)`` once the record is durable;
-        raises the batch's error if the shared append/fsync failed.
+        batch leader under the WAL lock, in queue order.  Returns once
+        the record is durable; raises the batch's error if the shared
+        append/fsync failed.
         """
         entry = _GroupEntry(encode)
         with self._mutex:
@@ -436,13 +399,11 @@ class GroupCommitter:
             entry.event.wait()
         if entry.error is not None:
             raise entry.error
-        return entry.written, entry.batch_size
 
     def _lead(self) -> None:
         """Drain and write batches until the queue stays empty."""
         try:
             while True:
-                self._collect()
                 with self.wal.lock:
                     with self._mutex:
                         batch = self._queue
@@ -463,35 +424,9 @@ class GroupCommitter:
                 entry.event.set()
             raise
 
-    def _collect(self) -> None:
-        """The collection window: wait up to :attr:`window` seconds
-        for followers, draining early once arrivals go quiet.
-
-        The engine latch and the WAL lock are both free while the
-        leader sleeps, so concurrent sessions keep executing
-        statements and enqueueing their commits — the batch fattens
-        at the cost of a fraction of the window in commit latency.  A
-        solo committer only ever pays one poll interval: the queue is
-        already quiet at the first check.
-        """
-        if self.window <= 0.0:
-            return
-        deadline = time.monotonic() + self.window
-        poll = min(self.window / 4.0, 0.0003)
-        with self._mutex:
-            seen = len(self._queue)
-        while True:
-            time.sleep(poll)
-            with self._mutex:
-                count = len(self._queue)
-            if count == seen or time.monotonic() >= deadline:
-                return
-            seen = count
-
     def _write_batch(self, batch: list[_GroupEntry]) -> None:
         """Write one drained batch (caller holds the WAL lock)."""
         error: BaseException | None = None
-        sizes: list[int] = []
         try:
             payloads = [entry.encode() for entry in batch]
             sizes = self.wal.append_batch(payloads)
@@ -500,14 +435,8 @@ class GroupCommitter:
         if error is None:
             self.batches += 1
             self.records += len(batch)
-            self.batch_sizes[len(batch)] = (
-                self.batch_sizes.get(len(batch), 0) + 1)
             if self.on_batch is not None:
-                self.on_batch(len(batch))
-        for index, entry in enumerate(batch):
-            if error is not None:
-                entry.error = error
-            else:
-                entry.written = sizes[index]
-                entry.batch_size = len(batch)
+                self.on_batch(sizes)
+        for entry in batch:
+            entry.error = error
             entry.event.set()

@@ -312,7 +312,7 @@ def _group_commit_run(live, arm=None):
     per-thread list of acknowledged commit keys, and how many wal
     boundaries (frame writes + fsyncs) the run crossed."""
     probed: list[str] = []
-    db = Database(path=live, fsync="always", group_commit=True)
+    db = Database(path=live, fsync="always")
     for table in range(GC_THREADS):
         db.execute(f"CREATE TABLE gc{table}(k NUMBER, v NUMBER)")
     if arm is not None:

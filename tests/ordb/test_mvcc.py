@@ -19,7 +19,6 @@ import pytest
 
 from repro.ordb import (
     Database,
-    LockTimeout,
     ReadOnlyViolation,
     SerializationConflict,
     TransactionError,
@@ -166,23 +165,6 @@ class TestZeroSharedLocks:
             assert db.locks.stats["s_acquires"] == before
             assert db.stats["lock_timeouts"] == timeouts
             assert db.stats["reader_lock_waits_avoided"] >= 1
-            writer.rollback()
-
-    def test_legacy_mode_still_takes_shared_locks(self):
-        db = Database(mvcc=False, lock_timeout=0.05)
-        db.execute("CREATE TABLE T(n NUMBER)")
-        db.execute("INSERT INTO T VALUES (1)")
-        before = db.locks.stats["s_acquires"]
-        db.execute("SELECT t.n FROM T t")
-        assert db.locks.stats["s_acquires"] > before
-        assert db.stats["locking_reads"] >= 1
-        # and a held X lock makes the legacy reader time out
-        with db.session(name="w") as writer, \
-                db.session(name="r") as reader:
-            writer.begin()
-            writer.execute("INSERT INTO T VALUES (2)")
-            with pytest.raises(LockTimeout):
-                reader.execute("SELECT t.n FROM T t")
             writer.rollback()
 
 
@@ -345,12 +327,6 @@ class TestExplainReadMode:
                               session=session).render()
             assert f"SNAPSHOT READ @{ts}" in plan.splitlines()[0]
             session.commit()
-
-    def test_legacy_mode_reports_locking_read(self):
-        db = Database(mvcc=False)
-        db.execute("CREATE TABLE T(n NUMBER)")
-        plan = db.explain("SELECT t.n FROM T t").render()
-        assert "LOCKING READ" in plan.splitlines()[0]
 
 
 class TestDmlStatementSnapshots:
